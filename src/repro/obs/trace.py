@@ -15,13 +15,23 @@ tree:
   the worker; HTTP requests carry a W3C-style ``traceparent`` header
   (:func:`traceparent_header` / :func:`parse_traceparent`) so a
   ``RemoteClient`` span becomes the parent of the server's job span.
-* **Storage.**  Finished spans land in a bounded in-memory ring buffer
-  (default 4096 spans — a 10k-span flood stays bounded) and, when a
-  cache directory is configured, an append-only JSONL sink at
-  ``<cache>/traces/<trace_id>.jsonl`` — one small ``O_APPEND`` line
-  per span, safe across the shard worker processes that share the
-  directory.  Sink files are pruned oldest-first past
-  ``_SINK_MAX_FILES`` so long-lived servers do not grow without bound.
+* **Storage.**  Finished spans land immediately in a bounded
+  in-memory ring buffer (default 4096 spans — a 10k-span flood stays
+  bounded) and, when a cache directory is configured, an append-only
+  JSONL sink at ``<cache>/traces/<trace_id>.jsonl``.  Sink lines are
+  buffered per trace and written in one ``O_APPEND`` write, by the
+  :mod:`repro.diskwriter` thread, when the span that began the chain
+  in this process closes — a span with no parent, or one opened with
+  an explicit ``context=`` (a driver thread's job span, a pool
+  worker's shard span, a server request span) — or once the buffer
+  holds ``_SINK_BUFFER_SPANS`` lines.  One write per chain is safe
+  across the shard worker processes that share the directory.  A
+  normal interpreter exit writes whatever is still buffered or
+  queued.  The trade-off: a process killed mid-trace loses that
+  trace's buffered sink lines (the ring, and so ``GET
+  /v1/jobs/{id}/trace`` on a live server, is unaffected).  Sink files
+  are pruned oldest-first past ``_SINK_MAX_FILES`` so long-lived
+  servers do not grow without bound.
 * **Rendering.**  :func:`render_trace` draws the tree with per-span
   durations and self-time (duration minus child durations) for
   ``repro-ants trace``; ``GET /v1/jobs/{id}/trace`` serves the raw
@@ -36,8 +46,10 @@ against.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import contextvars
+import functools
 import json
 import os
 import re
@@ -47,6 +59,8 @@ import uuid
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence
+
+from repro import diskwriter
 
 __all__ = [
     "Span",
@@ -79,6 +93,9 @@ def _env_flag(name: str, default: bool) -> bool:
 _DEFAULT_RING_SIZE = 4096
 _SINK_MAX_FILES = 512
 _SINK_PRUNE_EVERY = 100
+#: A trace's buffered sink lines are written at the latest when this
+#: many have accumulated, so a long-open chain keeps memory bounded.
+_SINK_BUFFER_SPANS = 256
 
 
 @dataclass(frozen=True)
@@ -168,9 +185,30 @@ class _TraceState:
         self.lock = threading.Lock()
         self.ring: Deque[Span] = deque(maxlen=_DEFAULT_RING_SIZE)
         self.sink_writes = 0
+        # trace_id -> JSONL lines of finished spans not yet in the sink.
+        self.pending: Dict[str, List[str]] = {}
 
 
 _STATE = _TraceState()
+
+
+def _forget_pending_in_child() -> None:
+    # A forked pool worker must not write the parent's buffered lines
+    # again when its own shard span closes.
+    _STATE.pending = {}
+
+
+os.register_at_fork(after_in_child=_forget_pending_in_child)
+
+
+@atexit.register
+def _flush_pending() -> None:
+    # Chains still open at interpreter exit (a daemon thread mid-job)
+    # keep the lines their finished spans buffered.
+    with _STATE.lock:
+        pending, _STATE.pending = _STATE.pending, {}
+    for trace_id, lines in pending.items():
+        _sink_write(trace_id, "".join(lines))
 
 _CURRENT: contextvars.ContextVar[Optional[SpanContext]] = (
     contextvars.ContextVar("repro_obs_span", default=None)
@@ -187,13 +225,16 @@ def configure_tracing(
     ``enabled=False`` compiles tracing out: ``span()``/``child_span()``
     yield ``None`` and touch nothing.  ``ring_size`` re-bounds the
     in-memory ring (existing spans carry over up to the new bound).
-    ``sink=False`` keeps the ring but stops writing JSONL files.
+    ``sink=False`` keeps the ring but stops writing JSONL files (and
+    drops lines still buffered for them).
     """
     with _STATE.lock:
         if enabled is not None:
             _STATE.enabled = bool(enabled)
         if sink is not None:
             _STATE.sink_enabled = bool(sink)
+            if not sink:
+                _STATE.pending.clear()
         if ring_size is not None:
             if ring_size < 1:
                 raise ValueError(f"ring_size must be >= 1, got {ring_size}")
@@ -238,12 +279,23 @@ def _new_span_id() -> str:
     return uuid.uuid4().hex[:16]
 
 
-def _record(sp: Span) -> None:
+def _record(sp: Span, local_root: bool) -> None:
+    """Ring the span now; buffer its sink line until its chain closes."""
+    line = (
+        json.dumps(sp.to_payload(), separators=(",", ":")) + "\n"
+        if _STATE.sink_enabled
+        else None
+    )
     with _STATE.lock:
         _STATE.ring.append(sp)
-        sink_on = _STATE.sink_enabled
-    if sink_on:
-        _sink_write(sp)
+        if line is None:
+            return
+        lines = _STATE.pending.setdefault(sp.trace_id, [])
+        lines.append(line)
+        if not local_root and len(lines) < _SINK_BUFFER_SPANS:
+            return
+        del _STATE.pending[sp.trace_id]
+    _sink_write(sp.trace_id, "".join(lines))
 
 
 @contextlib.contextmanager
@@ -258,7 +310,9 @@ def span(
     Yields the :class:`Span` — or ``None`` when tracing is disabled,
     so instrumentation sites guard attribute writes with
     ``if sp is not None``.  An exception escaping the body marks the
-    span's status ``error`` and re-raises.
+    span's status ``error`` and re-raises.  A span with no parent or an
+    explicit ``context`` begins a chain in this process: closing it
+    writes the trace's buffered sink lines.
     """
     if not _STATE.enabled:
         yield None
@@ -283,7 +337,7 @@ def span(
         _CURRENT.reset(token)
         _LIVE.pop(sp.span_id, None)
         sp.end_time = time.time()
-        _record(sp)
+        _record(sp, local_root=context is not None or parent is None)
 
 
 @contextlib.contextmanager
@@ -334,16 +388,32 @@ def trace_dir() -> Optional[str]:
     return os.path.join(str(directory), "traces")
 
 
-def _sink_write(sp: Span) -> None:
+def _sink_write(trace_id: str, text: str) -> None:
+    """Queue ``text`` for the trace's JSONL file, as one append.
+
+    The file-system work runs on the :mod:`repro.diskwriter` thread.
+    """
     base = trace_dir()
     if base is None:
         return
+    diskwriter.submit(
+        functools.partial(_sink_append, base, trace_id, text.encode("utf-8"))
+    )
+
+
+def _sink_append(base: str, trace_id: str, data: bytes) -> None:
+    path = os.path.join(base, f"{trace_id}.jsonl")
+    flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
     try:
-        os.makedirs(base, exist_ok=True)
-        path = os.path.join(base, f"{sp.trace_id}.jsonl")
-        line = json.dumps(sp.to_payload(), separators=(",", ":"))
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+        try:
+            fd = os.open(path, flags, 0o644)
+        except FileNotFoundError:
+            os.makedirs(base, exist_ok=True)
+            fd = os.open(path, flags, 0o644)
+        try:
+            os.write(fd, data)
+        finally:
+            os.close(fd)
     except OSError:
         return
     with _STATE.lock:
@@ -376,6 +446,7 @@ def _sink_spans(trace_id: str) -> List[Span]:
     base = trace_dir()
     if base is None:
         return []
+    diskwriter.drain()
     path = os.path.join(base, f"{trace_id}.jsonl")
     spans: List[Span] = []
     try:

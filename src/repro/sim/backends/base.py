@@ -208,6 +208,12 @@ class SimulationRequest:
     seed_keys: Tuple[int, ...] = ()
     distance_bound: Optional[int] = None
     deadline_seconds: Optional[float] = None
+    # Memo of repro.sim.cache.request_fingerprint, filled on first use.
+    # The request is frozen, so the hash never goes stale; it takes no
+    # part in __init__, equality, hashing, repr or replace().
+    _fingerprint: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.n_agents < 1:

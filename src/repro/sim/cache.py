@@ -51,11 +51,17 @@ Two extensions serve the job layer (:mod:`repro.sim.jobs`):
 * **size-bounded disk** — every disk hit refreshes the entry's mtime
   (``last_used``), and :meth:`SimulationCache.prune` evicts
   least-recently-used entries until the directory fits a byte budget
-  (``repro-ants cache prune --max-bytes N``).
+  (``repro-ants cache prune --max-bytes N``);
+* **queued writes** — a ledger-less job's inline store (every blocking
+  1-trial ``simulate()``) leaves the file-system part of its disk
+  write to the :mod:`repro.diskwriter` thread.  A disk read of an
+  entry still queued, and ``info``/``clear``/``prune``/``verify``,
+  drain that thread first, so readers never see the difference.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -65,8 +71,9 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
+from repro import diskwriter
 from repro.errors import InvalidParameterError, TransientFaultError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import child_span
@@ -160,7 +167,17 @@ def default_cache_dir() -> Path:
 
 
 def request_fingerprint(request: SimulationRequest) -> str:
-    """A stable content hash of every value-bearing request field."""
+    """A stable content hash of every value-bearing request field.
+
+    Memoized on the request (which is frozen): the cache key, the shard
+    keys and the disk payload of one job share a single hash.
+    """
+    if request._fingerprint is None:
+        object.__setattr__(request, "_fingerprint", _content_hash(request))
+    return request._fingerprint
+
+
+def _content_hash(request: SimulationRequest) -> str:
     spec = request.algorithm
     payload = {
         "algorithm": {
@@ -448,12 +465,24 @@ class SimulationCache:
         outcomes: Tuple[SearchOutcome, ...],
     ) -> None:
         """Record the outcomes of one executed request."""
+        self._store(request, backend_name, outcomes, queued=False)
+
+    def _store(
+        self,
+        request: SimulationRequest,
+        backend_name: str,
+        outcomes: Tuple[SearchOutcome, ...],
+        queued: bool,
+    ) -> None:
+        """:meth:`store`; ``queued`` leaves the file-system work of the
+        disk write to the :mod:`repro.diskwriter` thread (the memory
+        entry, counters and encoding still happen here)."""
         key = cache_key(request, backend_name)
         with self._lock:
             self._remember(key, outcomes)
             self._stores += 1
         _STORES_TOTAL.inc(level="entry")
-        self._write_disk(key, request, backend_name, outcomes, None)
+        self._write_disk(key, request, backend_name, outcomes, None, queued)
 
     def store_shard(
         self,
@@ -478,6 +507,7 @@ class SimulationCache:
 
     def clear(self, memory: bool = True, disk: bool = True) -> int:
         """Drop cached entries; returns the number of disk files removed."""
+        diskwriter.drain()
         if memory:
             with self._lock:
                 self._memory.clear()
@@ -503,6 +533,7 @@ class SimulationCache:
             raise InvalidParameterError(
                 f"max_bytes must be >= 0, got {max_bytes}"
             )
+        diskwriter.drain()
         entries: List[Tuple[float, int, Path]] = []
         if self._directory.is_dir():
             for path in self._directory.glob("*.pkl"):
@@ -543,6 +574,7 @@ class SimulationCache:
         entry is quarantined immediately (the same move a lookup would
         perform on first touch); without it the scan only reports.
         """
+        diskwriter.drain()
         corrupt: List[str] = []
         scanned = 0
         ok = 0
@@ -571,6 +603,7 @@ class SimulationCache:
 
     def info(self) -> CacheInfo:
         """Configuration + hit/miss counters + disk usage."""
+        diskwriter.drain()
         disk_files = 0
         disk_bytes = 0
         if self._directory.is_dir():
@@ -642,6 +675,8 @@ class SimulationCache:
         if not self._disk_enabled:
             return None
         path = self._path_for(key)
+        if str(path) in _QUEUED_PATHS:
+            diskwriter.drain()
         try:
             maybe_inject(
                 "cache.disk_read",
@@ -690,6 +725,7 @@ class SimulationCache:
         backend_name: str,
         outcomes: Tuple[SearchOutcome, ...],
         shard: Optional[Tuple[int, int]] = None,
+        queued: bool = False,
     ) -> None:
         if not self._disk_enabled:
             return
@@ -715,6 +751,14 @@ class SimulationCache:
             elif fault.kind == "corrupt":
                 middle = len(data) // 2
                 data = data[:middle] + bytes([data[middle] ^ 0xFF]) + data[middle + 1:]
+        path = self._path_for(key)
+        if not queued:
+            self._publish(path, data)
+            return
+        _QUEUED_PATHS.add(str(path))
+        diskwriter.submit(functools.partial(self._publish, path, data, True))
+
+    def _publish(self, path: Path, data: bytes, queued: bool = False) -> None:
         try:
             self._directory.mkdir(parents=True, exist_ok=True)
             # Atomic publish: a concurrent reader sees the old file or
@@ -725,7 +769,7 @@ class SimulationCache:
             try:
                 with os.fdopen(fd, "wb") as handle:
                     handle.write(data)
-                os.replace(temp_name, self._path_for(key))
+                os.replace(temp_name, path)
             except BaseException:
                 try:
                     os.unlink(temp_name)
@@ -736,6 +780,15 @@ class SimulationCache:
             # Read-only or missing home: degrade to memory-only.
             self._disk_enabled = False
             self._disk_error = str(error)
+        finally:
+            if queued:
+                _QUEUED_PATHS.discard(str(path))
+
+
+#: Entry files whose write is still queued on the disk-writer thread;
+#: a disk read of one of them drains the writer first.  (Single set
+#: operations need no lock.)
+_QUEUED_PATHS: Set[str] = set()
 
 
 _GLOBAL_CACHE: Optional[SimulationCache] = None

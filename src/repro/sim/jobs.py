@@ -1,15 +1,17 @@
 """The asynchronous job layer: one execution core under sync and async.
 
-Since PR 3 every simulation — blocking or not — runs through this
-module.  :meth:`JobManager.submit` turns a
+Every simulation — blocking or not — runs through this module.  The
+:class:`JobManager` turns a
 :class:`~repro.sim.backends.base.SimulationRequest` into a
 :class:`SimulationJob` executing the canonical pipeline::
 
     resolve backend -> cache lookup -> shard trials -> run -> store
 
-and :func:`repro.sim.simulate` is nothing but
-``submit(...).result()``.  The async view adds three things on top of
-the same core:
+:meth:`JobManager.submit` drives it on a new daemon thread and returns
+the handle; the blocking :func:`repro.sim.simulate` builds the job the
+same way and drives the same pipeline on the caller's thread, so a
+small request pays for no thread hand-off.  The async view adds three
+things on top of the same core:
 
 * **states and progress** — a job moves ``PENDING -> RUNNING ->
   DONE/FAILED/CANCELLED``; :meth:`SimulationJob.progress` reports
@@ -144,6 +146,10 @@ def _count_execution(
     _COMPUTE_SECONDS.inc(
         max(elapsed_seconds, 0.0), family=family, backend=backend_name
     )
+
+#: How long :meth:`JobManager.close` waits for a settled job's driver
+#: thread to finish its bookkeeping (ledger write, job span).
+_SETTLE_JOIN_SECONDS = 1.0
 
 #: How often a driver waiting on pool shards re-checks for cancellation
 #: (in-process event or cross-process marker file).
@@ -368,9 +374,10 @@ def _observe_job_timing(
 class SimulationJob:
     """Handle for one submitted simulation request.
 
-    Created by :meth:`JobManager.submit`; never constructed directly.
+    Created by the :class:`JobManager`; never constructed directly.
     The job executes on a background driver thread owned by the
-    manager; this handle is the thread-safe view — poll
+    manager (or, for the blocking :func:`repro.sim.simulate`, on the
+    caller's thread); this handle is the thread-safe view — poll
     :meth:`progress`, stream :meth:`iter_results`, block on
     :meth:`result`, or :meth:`cancel`.
     """
@@ -423,15 +430,21 @@ class SimulationJob:
         # Jobs served entirely from the result cache skip the ledger —
         # no disk I/O for replays that simulated nothing.
         self._served_from_cache = False
-        # The blocking facade submits with ledger=False: its jobs are
+        # The blocking facade runs with ledger=False: its jobs are
         # settled before the caller could ever inspect them, so the
-        # per-call disk writes would be pure overhead.
+        # per-call disk writes would be pure overhead.  Such a job can
+        # only be cancelled in-process, so it skips the cancel marker.
         self._ledger_enabled = ledger
         # Trace parentage captured at submit time (the driver thread
-        # cannot inherit the submitter's contextvars) and the plan this
-        # job executes, for predicted-vs-actual span attributes.
+        # cannot inherit the submitter's contextvars; None when the
+        # caller's thread drives the job under its own ambient span)
+        # and the plan this job executes, for predicted-vs-actual span
+        # attributes.
         self._trace_ctx: Optional[SpanContext] = None
         self._plan: Optional[SimulationPlan] = None
+        # The daemon thread driving the job (None when the caller's
+        # thread drives it); joined at exit once the job has settled.
+        self._driver: Optional[threading.Thread] = None
 
     # -- read side -------------------------------------------------------
 
@@ -664,13 +677,16 @@ def request_cancel(job_id: str) -> bool:
 
     Writes the ``<job_id>.cancel`` marker the owning driver polls at
     shard boundaries; if the job lives in *this* process it is also
-    cancelled directly.  Returns ``False`` — and leaves no marker
+    cancelled directly (and a ledger-less job, which no other process
+    can see, gets no marker).  Returns ``False`` — and leaves no marker
     behind — when the job is unknown or already terminal.
     """
     job = get_manager().get(job_id)
     if job is not None:
         if not job.cancel():
             return False
+        if not job._ledger_enabled:
+            return True
     else:
         record = next(
             (r for r in read_job_records() if r.get("job_id") == job_id),
@@ -865,6 +881,8 @@ class JobManager:
     validates and resolves synchronously — bad parameters and
     unsupported backends fail at the call site — then hands the job to
     a daemon driver thread so the caller gets the handle immediately.
+    The registry keeps the newest :attr:`MAX_RETAINED_JOBS` jobs,
+    evicting the oldest settled ones first.
     """
 
     #: In-process registry bound: terminal jobs beyond this are evicted
@@ -898,8 +916,7 @@ class JobManager:
         process pool (sized ``pool_size``) instead of the driver
         thread — the sweep executor uses this to run whole grid points
         in parallel worker processes — and ``ledger=False`` keeps the
-        job out of the persistent jobs ledger (used by the blocking
-        facade, whose jobs settle before anyone could observe them).
+        job out of the persistent jobs ledger.
 
         ``plan`` executes a :class:`~repro.sim.selector.SimulationPlan`
         instead of the fixed ``backend``/``workers`` layout: the plan's
@@ -909,6 +926,43 @@ class JobManager:
         An explicit ``backend`` name that contradicts the plan is an
         error — silently preferring either side would make runs
         unreproducible from their call sites.
+        """
+        job, chosen = self._create_job(
+            request, backend, workers, cache, run_in_pool, pool_size,
+            ledger, plan,
+        )
+        # The driver thread cannot see the submitter's contextvars, so
+        # the ambient span (a client request, an experiment program, a
+        # server route) is captured here and re-attached in _drive —
+        # that is what parents the job span under its caller.
+        job._trace_ctx = current_context()
+        job._driver = threading.Thread(
+            target=self._drive,
+            args=(job, chosen),
+            name=f"repro-job-{job.job_id}",
+            daemon=True,
+        )
+        job._driver.start()
+        return job
+
+    def _create_job(
+        self,
+        request: SimulationRequest,
+        backend: str = AUTO,
+        workers: int = 1,
+        cache: Optional[bool] = None,
+        run_in_pool: bool = False,
+        pool_size: Optional[int] = None,
+        ledger: bool = True,
+        plan: Optional[SimulationPlan] = None,
+    ) -> Tuple[SimulationJob, SimulationBackend]:
+        """Validate, resolve and register a job; return it with its backend.
+
+        The shared construction step of :meth:`submit` (which then
+        drives the job on a new thread) and the blocking
+        :func:`repro.sim.simulate` (which drives it on the caller's
+        thread).  Bad parameters and unsupported backends raise here,
+        at the call site.
         """
         if workers < 1:
             raise InvalidParameterError(f"workers must be >= 1, got {workers}")
@@ -946,21 +1000,21 @@ class JobManager:
             pool_workers=(pool_size or workers) if (run_in_pool or len(shards) > 1) else 0,
             ledger=ledger,
         )
-        # The driver thread cannot see the submitter's contextvars, so
-        # the ambient span (a client request, an experiment program, a
-        # server route) is captured here and re-attached in _drive —
-        # that is what parents the job span under its caller.
-        job._trace_ctx = current_context()
         job._plan = plan
         _JOBS_SUBMITTED.inc(backend=chosen.name)
         with self._lock:
             self._jobs[job.job_id] = job
-            if len(self._jobs) > self.MAX_RETAINED_JOBS:
-                overflow = len(self._jobs) - self.MAX_RETAINED_JOBS
-                for stale_id in [
-                    job_id for job_id, stale in self._jobs.items()
-                    if stale.done()
-                ][:overflow]:
+            overflow = len(self._jobs) - self.MAX_RETAINED_JOBS
+            if overflow > 0:
+                # Oldest settled jobs first, in insertion order; stop as
+                # soon as enough are found rather than scanning them all.
+                stale_ids: List[str] = []
+                for stale_id, stale in self._jobs.items():
+                    if stale.done():
+                        stale_ids.append(stale_id)
+                        if len(stale_ids) == overflow:
+                            break
+                for stale_id in stale_ids:
                     del self._jobs[stale_id]
             prune_now = not self._ledger_pruned
             self._ledger_pruned = True
@@ -968,14 +1022,7 @@ class JobManager:
             # Bound ledger growth: once per process, drop old terminal
             # records and orphaned cancel markers.
             prune_job_records()
-        thread = threading.Thread(
-            target=self._drive,
-            args=(job, chosen),
-            name=f"repro-job-{job.job_id}",
-            daemon=True,
-        )
-        thread.start()
-        return job
+        return job, chosen
 
     def run_many(
         self,
@@ -1054,13 +1101,19 @@ class JobManager:
     def close(self) -> None:
         """Shut the process pool down (idempotent).
 
-        Also flushes terminal ledger records: driver threads are
-        daemons, so a process exiting right after ``result()`` returns
-        can kill the driver before its final write — this runs at
-        ``atexit`` and settles the records.
+        Also settles terminal jobs: driver threads are daemons, so a
+        process exiting right after ``result()`` returns can kill a
+        driver before its final ledger write and before its job span
+        closes (which writes the trace's sink lines).  This runs at
+        ``atexit``, gives each settled job's driver a moment to finish,
+        and writes the ledger records.
         """
         for job in self.jobs():
-            if job.done() and not job._served_from_cache:
+            if not job.done():
+                continue
+            if job._driver is not None:
+                job._driver.join(timeout=_SETTLE_JOIN_SECONDS)
+            if not job._served_from_cache:
                 self._write_ledger(job)
         with self._lock:
             pool, self._pool, self._pool_size = self._pool, None, 0
@@ -1104,6 +1157,8 @@ class JobManager:
     def _cancel_requested(self, job: SimulationJob) -> bool:
         if job.cancel_requested():
             return True
+        if not job._ledger_enabled:
+            return False  # invisible to other processes: no marker
         try:
             if _cancel_marker(job.job_id).exists():
                 job.cancel()
@@ -1113,7 +1168,12 @@ class JobManager:
         return False
 
     def _drive(self, job: SimulationJob, backend: SimulationBackend) -> None:
-        """Driver-thread body: the job span around the pipeline."""
+        """The job span around the pipeline, on whichever thread drives it.
+
+        A driver thread opens the span under the submitter's captured
+        context; the blocking facade's caller thread, under its ambient
+        "simulate" span.
+        """
         with span(
             "job",
             context=job._trace_ctx,
@@ -1176,7 +1236,7 @@ class JobManager:
         except BaseException as error:  # noqa: BLE001 — surfaced via result()
             job._finish(JobState.FAILED, error)
         finally:
-            if not job._served_from_cache:
+            if job._ledger_enabled and not job._served_from_cache:
                 self._write_ledger(job)
                 try:
                     _cancel_marker(job.job_id).unlink()
@@ -1262,9 +1322,8 @@ class JobManager:
         self._check_deadline(job)
 
         if pending and job._pool_workers == 0:
-            # Single shard, no pool requested: run inline on this
-            # driver thread — the same in-process execution the
-            # blocking facade always had.
+            # Single shard, no pool requested: run inline on the
+            # thread driving the job.
             outcomes, elapsed = self._run_inline(job, backend, pending[0])
             _count_backend_runs(1)
             _count_execution(
@@ -1273,7 +1332,12 @@ class JobManager:
             _observe_job_timing(job, len(outcomes), elapsed)
             job._record_shard(pending[0], outcomes, from_cache=False)
             if cache is not None:
-                cache.store(request, job.cache_backend, outcomes)
+                # Nothing can resume a ledger-less job, so its entry's
+                # file write may finish after the result is returned.
+                cache._store(
+                    request, job.cache_backend, outcomes,
+                    queued=not job._ledger_enabled,
+                )
         elif pending:
             cancelled = self._run_pooled(job, cache, pending)
             if cancelled:
@@ -1292,7 +1356,7 @@ class JobManager:
     def _run_inline(
         self, job: SimulationJob, backend: SimulationBackend, shard_index: int
     ) -> Tuple[Tuple[SearchOutcome, ...], float]:
-        """Run the whole request on the driver thread, with retries."""
+        """Run the whole request on the driving thread, with retries."""
         request = job.request
         attempt = 0
         while True:
@@ -1511,8 +1575,9 @@ def simulate_async(
     Returns immediately with a :class:`SimulationJob`; stream shards
     with :meth:`~SimulationJob.iter_results`, poll
     :meth:`~SimulationJob.progress`, or block on
-    :meth:`~SimulationJob.result` — which is exactly what the blocking
-    :func:`repro.sim.simulate` facade does.
+    :meth:`~SimulationJob.result`.  The blocking
+    :func:`repro.sim.simulate` runs the same pipeline on the caller's
+    thread instead.
     """
     return get_manager().submit(
         request, backend=backend, workers=workers, cache=cache
@@ -1604,7 +1669,7 @@ def simulate_adaptive(
     consumed the assembled full-request entry is stored too — so
     adaptive runs, fixed runs, and resumed jobs all share one cache
     population.  Batches execute inline via ``backend.run(request,
-    trial_indices=...)`` (the driver-thread path), each counted once in
+    trial_indices=...)`` (the inline path), each counted once in
     :func:`backend_run_count` unless served from cache.
 
     ``backend="auto"`` routes through the cost-model selector when a

@@ -10,11 +10,13 @@ backends the outcomes are bit-identical whatever ``workers`` is; the
 batched backend re-anchors its pooled stream per shard and is equal in
 distribution instead.
 
-Since PR 3 the facade owns no execution logic: the resolve -> cache ->
-shard -> run -> store pipeline lives in :mod:`repro.sim.jobs`, and
-:func:`simulate` is literally ``submit(...).result()`` on the
-process-wide :class:`~repro.sim.jobs.JobManager`.  :func:`simulate_async`
-is the same submission without the blocking wait — it returns the
+The facade owns no execution logic: the resolve -> cache -> shard ->
+run -> store pipeline lives in :mod:`repro.sim.jobs`.  :func:`simulate`
+builds a job on the process-wide :class:`~repro.sim.jobs.JobManager`
+exactly as a submission would, then drives that one pipeline on the
+calling thread and returns the job's result, so a small request pays
+for no thread start and hand-off.  :func:`simulate_async` is the same
+job driven on a background thread — it returns the
 :class:`~repro.sim.jobs.SimulationJob` handle for progress polling,
 incremental shard streaming, and cancellation.  Both views share the
 content-addressed result cache (full-request and per-shard entries),
@@ -59,9 +61,11 @@ def simulate(
 ) -> SimulationResult:
     """Execute a simulation request on the best (or named) backend.
 
-    A thin blocking view over the job layer: submits to the
-    process-wide :class:`~repro.sim.jobs.JobManager` and waits for the
-    result.  Use :func:`simulate_async` for the non-blocking handle.
+    A thin blocking view over the job layer: registers a job with the
+    process-wide :class:`~repro.sim.jobs.JobManager` (so
+    ``manager.cancel(job_id)`` from another thread still reaches it)
+    and drives it on the calling thread.  Use :func:`simulate_async`
+    for the non-blocking handle.
 
     Parameters
     ----------
@@ -90,14 +94,17 @@ def simulate(
     # ledger=False: a blocking job is settled before the caller could
     # inspect it through the jobs CLI, so skip the per-call disk writes.
     # The "simulate" span is the root of a local trace (or a child of
-    # whatever ambient span the caller holds); submit() captures it as
-    # the job span's parent.
+    # whatever ambient span the caller holds); the job span opens under
+    # it as the ambient parent of this thread.
     with span(
         "simulate",
         algorithm=request.algorithm.name,
         n_trials=request.n_trials,
     ):
-        return get_manager().submit(
+        manager = get_manager()
+        job, chosen = manager._create_job(
             request, backend=backend, workers=workers, cache=cache,
             ledger=False, plan=plan,
-        ).result()
+        )
+        manager._drive(job, chosen)
+        return job.result()

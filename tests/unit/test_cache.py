@@ -58,6 +58,32 @@ class TestFingerprint:
     def test_stable_across_equal_requests(self):
         assert request_fingerprint(_request()) == request_fingerprint(_request())
 
+    def test_memoized_per_request_without_changing_its_value(
+        self, monkeypatch
+    ):
+        calls = []
+        original = cache_module._content_hash
+
+        def counting(request):
+            calls.append(request)
+            return original(request)
+
+        monkeypatch.setattr(cache_module, "_content_hash", counting)
+        request = _request()
+        fingerprint = request_fingerprint(request)
+        cache_key(request, "closed_form")
+        shard_cache_key(request, "closed_form", 0, 3)
+        assert request_fingerprint(request) == fingerprint
+        assert len(calls) == 1
+        # The memo is invisible to equality, hashing, repr and replace(),
+        # and survives pickling with the same value.
+        fresh = _request()
+        assert request == fresh and hash(request) == hash(fresh)
+        assert repr(request) == repr(fresh)
+        assert dataclasses.replace(request, seed=8)._fingerprint is None
+        assert pickle.loads(pickle.dumps(request))._fingerprint == fingerprint
+        assert original(fresh) == fingerprint
+
     def test_every_field_mutation_changes_the_fingerprint(self):
         base = request_fingerprint(_request())
         mutations = [

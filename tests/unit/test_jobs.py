@@ -4,7 +4,9 @@ The contracts under test:
 
 * ``simulate()`` is a thin view over the job layer — its outcomes are
   bit-identical to running the resolved backend directly (the
-  pre-refactor behavior) for the per-trial backends;
+  pre-refactor behavior) for the per-trial backends — driven on the
+  caller's thread, registered like any job, and hashing its request
+  once;
 * ``simulate_async().iter_results()`` streams completed trial shards
   incrementally, including cache-served ones;
 * every finished shard is written through to the cache, so a killed or
@@ -17,9 +19,12 @@ The contracts under test:
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 import repro.sim.cache as cache_module
+import repro.sim.service as service_module
 from repro.errors import InvalidParameterError, JobCancelledError
 from repro.sim import (
     AlgorithmSpec,
@@ -33,6 +38,7 @@ from repro.sim import (
 from repro.sim.backends.registry import get_backend
 from repro.sim.cache import cache_key, configure_cache, shard_cache_key
 from repro.sim.jobs import (
+    JobManager,
     get_manager,
     ledger_dir,
     prune_job_records,
@@ -101,6 +107,97 @@ class TestThinWrapper:
     def test_validation_raises_at_the_call_site(self):
         with pytest.raises(InvalidParameterError):
             simulate_async(_request(), workers=0)
+
+
+class TestBlockingFacade:
+    """simulate() drives its job on the calling thread."""
+
+    @pytest.fixture
+    def private_manager(self, monkeypatch):
+        """A fresh manager behind simulate(), closed afterwards."""
+        manager = JobManager()
+        monkeypatch.setattr(service_module, "get_manager", lambda: manager)
+        yield manager
+        manager.close()
+
+    def test_blocking_simulate_starts_no_thread(self, monkeypatch):
+        def no_threads(*args, **kwargs):
+            raise AssertionError("simulate() must not start a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_threads)
+        result = simulate(_request(seed=71), backend="closed_form", cache=False)
+        assert len(result.outcomes) == 6
+
+    def test_registry_keeps_exactly_the_newest_jobs(self, private_manager):
+        cap = JobManager.MAX_RETAINED_JOBS
+        newest = []
+        for i in range(2 * cap):
+            simulate(
+                _request(seed=1000 + i, n_trials=1),
+                backend="closed_form", cache=False,
+            )
+            newest.append(private_manager.jobs()[-1].job_id)
+        assert len(set(newest)) == 2 * cap
+        retained = [job.job_id for job in private_manager.jobs()]
+        assert retained == newest[-cap:]
+
+    def test_eviction_never_drops_a_live_job(self, private_manager):
+        cap = JobManager.MAX_RETAINED_JOBS
+        # Registered but never driven: stays PENDING throughout.
+        live, _ = private_manager._create_job(
+            _request(seed=72), backend="closed_form"
+        )
+        try:
+            for i in range(cap + 8):
+                simulate(
+                    _request(seed=2000 + i, n_trials=1),
+                    backend="closed_form", cache=False,
+                )
+            retained = private_manager.jobs()
+            assert len(retained) == cap
+            assert retained[0] is live
+            assert all(job.done() for job in retained[1:])
+        finally:
+            live._finish(JobState.CANCELLED)
+
+    def test_request_fingerprinted_once_per_job(
+        self, fresh_cache, monkeypatch
+    ):
+        calls = []
+        original = cache_module._content_hash
+
+        def counting(request):
+            calls.append(request)
+            return original(request)
+
+        monkeypatch.setattr(cache_module, "_content_hash", counting)
+        request = _request(seed=73, n_trials=1)
+        result = simulate(request, backend="closed_form")
+        assert len(calls) == 1
+        # Keys are unchanged: the stored entry sits at the public address.
+        assert fresh_cache._path_for(cache_key(request, "closed_form")).exists()
+        assert fresh_cache.lookup(request, "closed_form") == result.outcomes
+
+    def test_ledgerless_job_cancels_without_marker(self, fresh_cache):
+        manager = get_manager()
+        job, _ = manager._create_job(
+            _request(seed=74), backend="closed_form", ledger=False
+        )
+        assert request_cancel(job.job_id) is True
+        assert job.cancel_requested()
+        assert not ledger_dir().joinpath(f"{job.job_id}.cancel").exists()
+        manager._drive(job, get_backend("closed_form"))
+        assert job.state is JobState.CANCELLED
+
+    def test_ledger_job_still_gets_a_cancel_marker(self, fresh_cache):
+        manager = get_manager()
+        job, _ = manager._create_job(_request(seed=75), backend="closed_form")
+        assert request_cancel(job.job_id) is True
+        marker = ledger_dir().joinpath(f"{job.job_id}.cancel")
+        assert marker.exists()
+        manager._drive(job, get_backend("closed_form"))
+        assert job.state is JobState.CANCELLED
+        assert not marker.exists()
 
 
 class TestJobLifecycle:

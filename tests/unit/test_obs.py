@@ -7,6 +7,9 @@ Pins the ISSUE's observability guarantees:
   job span via the pickled :class:`SpanContext`;
 * **boundedness** — a 10k-span flood leaves the ring at its maximum
   length (no unbounded memory on long-lived servers);
+* **sink batching** — a trace's sink lines go out in one write when
+  the chain's first span in this process closes (or at the buffer
+  cap), including from forked pool workers;
 * **propagation** — ``traceparent`` round-trips through the W3C
   header format, and malformed headers degrade to ``None`` rather
   than failing the request;
@@ -19,14 +22,21 @@ Pins the ISSUE's observability guarantees:
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
+import repro.sim.service as service_module
+from repro import diskwriter
 from repro.obs.metrics import (
     LATENCY_BOUNDARIES,
     MetricsRegistry,
     get_registry,
 )
 from repro.obs.trace import (
+    _SINK_BUFFER_SPANS,
+    _STATE,
     Span,
     SpanContext,
     child_span,
@@ -39,8 +49,12 @@ from repro.obs.trace import (
     ring_spans,
     span,
     spans_for_trace,
+    trace_dir,
     traceparent_header,
 )
+from repro.sim import AlgorithmSpec, SimulationRequest, simulate
+from repro.sim.cache import configure_cache, default_cache_dir
+from repro.sim.jobs import JobManager
 
 
 @pytest.fixture(autouse=True)
@@ -51,6 +65,38 @@ def _fresh_ring():
     yield
     configure_tracing(enabled=True, ring_size=4096, sink=True)
     clear_ring()
+
+
+@pytest.fixture
+def sink_dir(tmp_path):
+    """A private cache directory, so the trace sink starts empty."""
+    configure_cache(directory=tmp_path)
+    yield tmp_path / "traces"
+    configure_cache(directory=default_cache_dir())
+
+
+def _sink_writes():
+    """Completed sink writes, once the disk-writer thread has caught up."""
+    diskwriter.drain()
+    return _STATE.sink_writes
+
+
+def _sink_lines(trace_id):
+    diskwriter.drain()
+    path = os.path.join(trace_dir(), f"{trace_id}.jsonl")
+    with open(path, encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle]
+
+
+def _pooled_request(seed):
+    return SimulationRequest(
+        algorithm=AlgorithmSpec.algorithm1(8),
+        n_agents=4,
+        target=(8, 8),
+        move_budget=300_000,
+        n_trials=4,
+        seed=seed,
+    )
 
 
 class TestSpans:
@@ -133,30 +179,16 @@ class TestPropagation:
         contextvars, so their shard spans parent correctly only if the
         pickled ``SpanContext`` travels in the task payload and the
         JSONL sink carries the spans back."""
-        from repro.sim import AlgorithmSpec, SimulationRequest, simulate
-
-        request = SimulationRequest(
-            algorithm=AlgorithmSpec.algorithm1(8),
-            n_agents=4,
-            target=(8, 8),
-            move_budget=300_000,
-            n_trials=4,
-            seed=20260808,
+        simulate(
+            _pooled_request(20260808), backend="reference", workers=2,
+            cache=False,
         )
-        simulate(request, backend="reference", workers=2, cache=False)
-        # The driver thread records the job span moments after
-        # ``result()`` unblocks; poll briefly rather than racing it.
-        import time
-
-        job_span = None
-        for _ in range(50):
-            job_span = next(
-                (sp for sp in ring_spans() if sp.name == "job"), None
-            )
-            if job_span is not None:
-                break
-            time.sleep(0.02)
-        assert job_span is not None, "job span never recorded"
+        # simulate() drives the job on this thread: its span is
+        # already recorded when the call returns.
+        job_span = next(
+            (sp for sp in ring_spans() if sp.name == "job"), None
+        )
+        assert job_span is not None, "job span not recorded by return"
         spans = spans_for_trace(job_span.trace_id)
         shards = [sp for sp in spans if sp.name == "shard"]
         assert len(shards) >= 2
@@ -165,6 +197,155 @@ class TestPropagation:
         assert find_trace_for_job(
             job_span.attributes["job_id"]
         ) == job_span.trace_id
+
+
+class TestSinkBatching:
+    def test_one_trial_simulate_is_one_sink_write(self, sink_dir):
+        request = SimulationRequest(
+            algorithm=AlgorithmSpec.algorithm1(8),
+            n_agents=2,
+            target=(5, 3),
+            move_budget=100_000,
+            n_trials=1,
+            seed=20261017,
+        )
+        before = _sink_writes()
+        simulate(request, backend="closed_form")
+        assert _sink_writes() == before + 1
+        (root,) = [sp for sp in ring_spans() if sp.name == "simulate"]
+        names = sorted(line["name"] for line in _sink_lines(root.trace_id))
+        assert names == ["cache.lookup", "job", "shard", "simulate"]
+
+    def test_forked_worker_shard_spans_reach_the_sink(
+        self, sink_dir, monkeypatch
+    ):
+        # A fresh manager forks its pool during this call, while the
+        # parent holds buffered lines of the same trace.
+        manager = JobManager()
+        monkeypatch.setattr(service_module, "get_manager", lambda: manager)
+        try:
+            simulate(
+                _pooled_request(20261018), backend="reference", workers=2,
+            )
+        finally:
+            manager.close()
+        (root,) = [sp for sp in ring_spans() if sp.name == "simulate"]
+        lines = _sink_lines(root.trace_id)
+        ids = [line["span_id"] for line in lines]
+        assert len(ids) == len(set(ids)), "a span was written twice"
+        shards = [line for line in lines if line["name"] == "shard"]
+        assert len(shards) == 2
+        # The worker's spans are in no ring of this process.
+        ring_ids = {sp.span_id for sp in ring_spans()}
+        assert not {line["span_id"] for line in shards} & ring_ids
+
+    def test_concurrent_chains_write_every_span_exactly_once(self, sink_dir):
+        import sys
+        import threading
+
+        shared = SpanContext(trace_id="c" * 32, span_id="d" * 16)
+
+        def work(index):
+            for chain in range(20):
+                # Own trace per chain, plus a chain in the shared trace
+                # whose buffer every thread appends to and flushes.
+                for context in (None, shared):
+                    with span(f"root-{index}-{chain}", context=context):
+                        for leaf in range(3):
+                            with span(f"leaf-{index}-{chain}-{leaf}"):
+                                pass
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(index,))
+                for index in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
+        diskwriter.drain()
+        written = []
+        for name in os.listdir(sink_dir):
+            with open(sink_dir / name, encoding="utf-8") as handle:
+                lines = [json.loads(line) for line in handle]
+            written.extend(
+                line["span_id"] for line in lines
+                if line["name"].startswith(("root-", "leaf-"))
+            )
+        assert len(written) == len(set(written)) == 8 * 20 * 2 * 4
+        assert shared.trace_id not in _STATE.pending
+
+    def test_process_exit_keeps_settled_and_open_chains(self, tmp_path):
+        """A process exiting right after ``result()`` loses no lines.
+
+        The async job's driver thread closes its job span (and writes
+        the trace) after the job settles; a daemon thread's chain is
+        still open at exit, with one finished child buffered."""
+        import subprocess
+        import sys
+        import textwrap
+
+        script = textwrap.dedent("""
+            import threading
+            from repro.obs.trace import ring_spans, span
+            from repro.sim import (
+                AlgorithmSpec, SimulationRequest, simulate_async,
+            )
+
+            def hold_open(ready):
+                with span("open-root"):
+                    with span("finished-child"):
+                        pass
+                    ready.set()
+                    threading.Event().wait()
+
+            ready = threading.Event()
+            threading.Thread(target=hold_open, args=(ready,), daemon=True).start()
+            ready.wait(30)
+            request = SimulationRequest(
+                algorithm=AlgorithmSpec.feinerman(), n_agents=1,
+                target=(6, 2), move_budget=4000, n_trials=1, seed=5,
+            )
+            job = simulate_async(request, backend="closed_form")
+            job.result(timeout=30)
+            print(job.job_id)
+        """)
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, REPRO_ANTS_CACHE_DIR=str(tmp_path))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        job_id = done.stdout.strip()
+        names = {}
+        for name in os.listdir(tmp_path / "traces"):
+            with open(tmp_path / "traces" / name, encoding="utf-8") as handle:
+                for line in handle:
+                    payload = json.loads(line)
+                    names[payload["name"]] = payload
+        assert names["job"]["attributes"]["job_id"] == job_id
+        assert "shard" in names and "cache.lookup" in names
+        assert "finished-child" in names
+
+    def test_long_chain_flushes_at_the_buffer_cap(self, sink_dir):
+        before = _sink_writes()
+        with span("root") as root:
+            for i in range(300):
+                with span(f"child-{i}"):
+                    pass
+            assert _sink_writes() == before + 1
+            assert len(_sink_lines(root.trace_id)) == _SINK_BUFFER_SPANS
+        assert _sink_writes() == before + 2
+        assert len(_sink_lines(root.trace_id)) == 301
 
 
 class TestRenderTrace:
