@@ -18,6 +18,15 @@ higher bar: verbatim in-file copies of their pre-optimization kernels
 versions bound to NumPy) run the same family workloads in the same
 process, and each new kernel must beat its legacy twin by >= 5x.
 
+The per-trial ``closed_form`` lshape simulator
+(:func:`repro.sim.fast.lshape_first_find`, serving every single-trial
+Algorithm 1 / Non-Uniform-Search request and E07/E10/E15) is raced the
+same way: a verbatim in-file copy of its four-RNG-call version
+(``_four_call_lshape_first_find``) and the raw-word rewrite run
+interleaved pairs on identical seeds over n in {1, 2, 4, 8}; every pair
+must return the same outcome, and the median per-pair speedup must be
+>= 1.5x.
+
 Numbers land in the ``kernels`` section of ``BENCH_sim_backends.json``
 (and the dated ``BENCH_history.jsonl`` trail).  Running with
 ``--check`` additionally compares each family against the committed
@@ -41,11 +50,16 @@ import json
 import math
 import sys
 import time
+from typing import Optional
 
 import numpy as np
 
 from bench_sim_backends import RECORD_PATH, update_record
+from repro.errors import InvalidParameterError
+from repro.grid.geometry import Point
 from repro.sim import AlgorithmSpec, SimulationRequest, simulate
+from repro.sim.fast import _found_at_origin, _outcome, lshape_first_find
+from repro.sim.metrics import FastRunStats, SearchOutcome
 
 #: New kernel must beat the in-file legacy kernel by this factor on the
 #: long-tail workload (same machine, same run — hardware-independent).
@@ -54,6 +68,21 @@ SPEEDUP_FLOOR = 1.3
 #: Each blocked family kernel must beat its verbatim in-file legacy
 #: twin by this factor on the family workload (same machine, same run).
 FAMILY_SPEEDUP_FLOOR = 5.0
+
+#: The raw-word ``lshape_first_find`` must beat its in-file four-call
+#: twin by this factor: median of per-pair ratios (same machine, same run).
+CLOSED_FORM_SPEEDUP_FLOOR = 1.5
+
+#: The closed-form race: single-trial request shapes (the local-small
+#: benchmark's), ring targets at max-norm ``distance`` on and off the
+#: vertical axis, ``pairs`` seeds per colony size.
+CLOSED_FORM_LSHAPE = {
+    "distance": 16,
+    "move_budget": 4000,
+    "n_agents": [1, 2, 4, 8],
+    "targets": [[16, 16], [16, -7], [0, 16], [-16, 3]],
+    "pairs": 200,
+}
 
 #: Families with an in-file pre-optimization twin to race against.
 LEGACY_FAMILIES = ("uniform", "doubly-uniform", "random-walk")
@@ -388,6 +417,155 @@ def _legacy_batch_random_walk(n_agents, n_trials, target, rng, move_budget):
     return best, best_finder, trial_iterations, trial_rounds
 
 
+# ---------------------------------------------------------------------------
+# The per-trial closed-form lshape simulator before its raw-word rewrite,
+# verbatim up to its helpers' names: four RNG calls per round (two
+# ``Generator.integers`` sign draws and two ``geometric`` length draws;
+# ``_legacy_sample_sorties`` above is the same sampler) and the
+# signed-integer hit test of the kernel core's ``sortie_hits`` bound to
+# NumPy.  The rewrite must return the same outcome on every seed.
+# ---------------------------------------------------------------------------
+
+
+def _four_call_sortie_hits(target, signs_v, lengths_v, signs_h, lengths_h):
+    x, y = target
+    if x != 0:
+        hit = signs_v * lengths_v == y
+        hit &= signs_h == (1 if x > 0 else -1)
+        hit &= lengths_h >= abs(x)
+        return hit, lengths_v + abs(x)
+    hit_vertical = (x == 0) & (signs_v * y >= 0) & (lengths_v >= abs(y))
+    hit_horizontal = (
+        (signs_v * lengths_v == y) & (signs_h * x >= 0) & (lengths_h >= abs(x))
+    )
+    hit = hit_vertical | hit_horizontal
+    moves_at_hit = np.where(hit_vertical, abs(y), lengths_v + abs(x))
+    return hit, moves_at_hit
+
+
+def _four_call_lshape_first_find(
+    stop_probability: float,
+    n_agents: int,
+    target: Point,
+    rng: np.random.Generator,
+    move_budget: int,
+) -> SearchOutcome:
+    """Colony ``M_moves`` for repeated L-sorties with one stop probability.
+
+    Covers Algorithm 1 (``p = 1/D``) and Non-Uniform-Search
+    (``p = 2^{-kl}``): both repeat identical sorties followed by an
+    (uncharged) oracle return.
+    """
+    if not 0.0 < stop_probability < 1.0:
+        raise InvalidParameterError(
+            f"stop_probability must be in (0, 1), got {stop_probability}"
+        )
+    if n_agents < 1:
+        raise InvalidParameterError(f"n_agents must be >= 1, got {n_agents}")
+    if move_budget < 1:
+        raise InvalidParameterError(f"move_budget must be >= 1, got {move_budget}")
+    if target == (0, 0):
+        return _found_at_origin(n_agents, move_budget)
+
+    cumulative = np.zeros(n_agents, dtype=np.int64)
+    agent_ids = np.arange(n_agents)
+    best: Optional[int] = None
+    best_finder: Optional[int] = None
+    # Failsafe against pathological parameter corners; the budget prune
+    # guarantees progress in expectation, this guards the worst case.
+    expected_len = max(1.0, 2.0 * (1.0 / stop_probability - 1.0))
+    max_rounds = int(200 * (move_budget / expected_len + 1)) + 10_000
+    rounds_executed = 0
+    iterations_executed = 0
+
+    for _ in range(max_rounds):
+        if agent_ids.size == 0:
+            break
+        count = agent_ids.size
+        rounds_executed += 1
+        iterations_executed += count
+        sv, lv, sh, lh = _legacy_sample_sorties(rng, stop_probability, count)
+        hit, moves_at_hit = _four_call_sortie_hits(target, sv, lv, sh, lh)
+        totals = cumulative + moves_at_hit
+        eligible = hit & (totals <= move_budget)
+        if np.any(eligible):
+            candidate_index = int(np.argmin(np.where(eligible, totals, np.iinfo(np.int64).max)))
+            candidate_total = int(totals[candidate_index])
+            if best is None or candidate_total < best:
+                best = candidate_total
+                best_finder = int(agent_ids[candidate_index])
+        survivors = ~hit
+        cumulative = cumulative[survivors] + (lv + lh)[survivors]
+        agent_ids = agent_ids[survivors]
+        limit = move_budget if best is None else min(move_budget, best)
+        keep = cumulative < limit
+        cumulative = cumulative[keep]
+        agent_ids = agent_ids[keep]
+
+    stats = FastRunStats(iterations_executed, rounds_executed)
+    if best is None:
+        return _outcome(None, None, n_agents, move_budget, stats)
+    return SearchOutcome(
+        found=True,
+        m_moves=best,
+        m_steps=None,
+        finder=best_finder,
+        n_agents=n_agents,
+        move_budget=move_budget,
+        stats=stats,
+    )
+
+
+def _closed_form_lshape_race() -> dict:
+    """Interleaved (four-call, raw-word) pairs on identical seeds.
+
+    The pair order alternates so neither side always runs on a warm
+    cache; every pair must agree on the outcome.  Returns the
+    ``closed_form_lshape`` payload: per-n median seconds per trial and
+    median per-pair speedups, plus the overall median the gate reads.
+    """
+    shape = CLOSED_FORM_LSHAPE
+    stop_probability = 1.0 / shape["distance"]
+    targets = [tuple(target) for target in shape["targets"]]
+    simulators = {
+        "four_call": _four_call_lshape_first_find, "raw_word": lshape_first_find,
+    }
+    per_n = {}
+    all_ratios = []
+    for n_agents in shape["n_agents"]:
+        timings = {"four_call": [], "raw_word": []}
+        for seed in range(shape["pairs"]):
+            target = targets[seed % len(targets)]
+            outcomes = {}
+            order = ("four_call", "raw_word") if seed % 2 else ("raw_word", "four_call")
+            for name in order:
+                rng = np.random.default_rng(seed)
+                start = time.perf_counter()
+                outcomes[name] = simulators[name](
+                    stop_probability, n_agents, target, rng, shape["move_budget"]
+                )
+                timings[name].append(time.perf_counter() - start)
+            assert outcomes["raw_word"] == outcomes["four_call"], (
+                f"closed-form lshape outcome moved at n={n_agents}, "
+                f"seed={seed}, target={target}: {outcomes['raw_word']} vs "
+                f"four-call {outcomes['four_call']}"
+            )
+        ratios = np.array(timings["four_call"]) / np.array(timings["raw_word"])
+        all_ratios.extend(ratios.tolist())
+        per_n[str(n_agents)] = {
+            "four_call_ms": round(float(np.median(timings["four_call"])) * 1e3, 4),
+            "raw_word_ms": round(float(np.median(timings["raw_word"])) * 1e3, 4),
+            "median_pair_speedup": round(float(np.median(ratios)), 2),
+        }
+    return {
+        "workload": shape,
+        "per_n_agents": per_n,
+        "median_pair_speedup": round(float(np.median(all_ratios)), 2),
+        "speedup_floor": CLOSED_FORM_SPEEDUP_FLOOR,
+        "outcomes_identical": True,
+    }
+
+
 def _legacy_family_rate(family: str) -> float:
     """Best-of-N colonies/sec for a family's verbatim legacy kernel."""
     spec, n_trials, move_budget, target = FAMILY_WORKLOADS[family]
@@ -477,6 +655,8 @@ def measure(families=None) -> dict:
         "speedup_floor": SPEEDUP_FLOOR,
         "family_speedup_floor": FAMILY_SPEEDUP_FLOOR,
     }
+    if {"algorithm1", "nonuniform"} & set(families):
+        payload["closed_form_lshape"] = _closed_form_lshape_race()
     if "algorithm1" in families:
         long_tail = _long_tail_rate()
         legacy = _legacy_long_tail_rate()
@@ -498,6 +678,12 @@ def assert_gates(payload: dict) -> None:
         assert speedup >= SPEEDUP_FLOOR, (
             f"blocked kernels must beat the pre-extraction per-round kernel "
             f"by >= {SPEEDUP_FLOOR}x on the long-tail workload, got {speedup}x"
+        )
+    if "closed_form_lshape" in payload:
+        speedup = payload["closed_form_lshape"]["median_pair_speedup"]
+        assert speedup >= CLOSED_FORM_SPEEDUP_FLOOR, (
+            f"raw-word lshape_first_find must beat its four-call twin by "
+            f">= {CLOSED_FORM_SPEEDUP_FLOOR}x (median per-pair), got {speedup}x"
         )
     for family, speedup in payload.get("speedup_vs_legacy", {}).items():
         assert speedup >= FAMILY_SPEEDUP_FLOOR, (
@@ -582,9 +768,15 @@ def main(argv=None) -> int:
     ]
     if "speedup_vs_legacy_long_tail" in payload:
         parts.append(f"long-tail {payload['speedup_vs_legacy_long_tail']}x")
+    if "closed_form_lshape" in payload:
+        parts.append(
+            "closed-form lshape "
+            f"{payload['closed_form_lshape']['median_pair_speedup']}x"
+        )
     print(
         "kernel gates OK vs in-file legacy twins: " + ", ".join(parts)
-        + f" (floors {FAMILY_SPEEDUP_FLOOR}x family / {SPEEDUP_FLOOR}x long-tail)"
+        + f" (floors {FAMILY_SPEEDUP_FLOOR}x family / {SPEEDUP_FLOOR}x long-tail"
+        + f" / {CLOSED_FORM_SPEEDUP_FLOOR}x closed-form lshape)"
     )
     return 0
 

@@ -29,7 +29,7 @@ def perturb_probability(
     if epsilon < 0.0:
         raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
     noisy = p + float(rng.uniform(-epsilon, epsilon))
-    return float(np.clip(noisy, 0.0, 1.0))
+    return min(max(noisy, 0.0), 1.0)
 
 
 def perturb_automaton(

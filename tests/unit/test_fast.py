@@ -8,12 +8,18 @@ import pytest
 from repro.core import theory
 from repro.errors import InvalidParameterError
 from repro.sim.fast import (
+    _moves_at_hit,
+    _points_toward,
+    _sortie_hits,
+    _SortieDraw,
     fast_algorithm1,
+    fast_doubly_uniform,
     fast_nonuniform,
     fast_random_walk,
     fast_uniform,
     lshape_first_find,
 )
+from repro.sim.kernels import numpy_namespace, sortie_hits
 
 
 class TestLShapeFirstFind:
@@ -104,6 +110,20 @@ class TestFastWrappers:
             fast_uniform(1, 0, 2, (1, 1), rng, 10)
 
 
+    @pytest.mark.parametrize("simulator", [fast_uniform, fast_doubly_uniform])
+    def test_find_beyond_budget_is_not_a_find(self, rng_factory, simulator):
+        """A first find that lands past the budget mid-phase reports none."""
+        budget = 6
+        outcomes = [
+            simulator(1, 1, 2, (2, 2), rng_factory(seed), budget)
+            for seed in range(200)
+        ]
+        assert any(outcome.found for outcome in outcomes)
+        assert all(
+            outcome.m_moves <= budget for outcome in outcomes if outcome.found
+        )
+
+
 class TestFastRandomWalk:
     def test_finds_adjacent_target(self, rng):
         outcome = fast_random_walk(8, (1, 0), rng, 10_000)
@@ -147,3 +167,99 @@ class TestFastRandomWalk:
             ]
             means.append(np.mean(samples))
         assert means[0] == pytest.approx(means[1], rel=0.35)
+
+
+#: Bit generators whose 32-bit draws are halves of 64-bit words.
+HALF_PARKING_BIT_GENERATORS = [
+    np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
+]
+
+
+def _signs(halves):
+    """Decode sign halves the way ``integers(0, 2) * 2 - 1`` does."""
+    return np.where(halves >= 1 << 31, 1, -1)
+
+
+def _next_draws(generator):
+    """A probe of the generator's position: 32-bit, 64-bit and float draws."""
+    return (
+        generator.integers(0, 2, size=5).tolist(),
+        generator.integers(0, 1 << 40, size=3).tolist(),
+        generator.random(3).tolist(),
+    )
+
+
+class TestSortieDraw:
+    """The raw-word sampler against the literal four-call sequence."""
+
+    @pytest.mark.parametrize(
+        "bit_generator", HALF_PARKING_BIT_GENERATORS,
+        ids=lambda bg: bg.__name__,
+    )
+    @pytest.mark.parametrize("parked", [False, True], ids=["fresh", "parked"])
+    def test_matches_integers_and_geometric_calls(self, bit_generator, parked):
+        for seed in range(4):
+            ours = np.random.Generator(bit_generator(seed))
+            reference = np.random.Generator(bit_generator(seed))
+            if parked:
+                # A 32-bit draw leaves the word's high half parked.
+                ours.integers(0, 2, size=1)
+                reference.integers(0, 2, size=1)
+            with _SortieDraw(ours) as draw:
+                for step, count in enumerate((1, 2, 3, 8, 257) * 3):
+                    p = (0.5, 0.0625, 0.01)[step % 3]
+                    sv, lv, sh, lh = draw(p, count)
+                    assert _signs(sv).tolist() == (
+                        reference.integers(0, 2, size=count) * 2 - 1
+                    ).tolist()
+                    assert _signs(sh).tolist() == (
+                        reference.integers(0, 2, size=count) * 2 - 1
+                    ).tolist()
+                    assert lv.tolist() == (
+                        reference.geometric(p, size=count) - 1
+                    ).tolist()
+                    assert lh.tolist() == (
+                        reference.geometric(p, size=count) - 1
+                    ).tolist()
+                    if step % 4 == 1:
+                        # Whole-word draws between rounds (the uniform
+                        # simulators' phase-length draws) keep the
+                        # parked half in place.
+                        assert ours.geometric(0.3) == reference.geometric(0.3)
+            # Compare positions through fresh draws, not the state's
+            # ``uinteger`` field, which is stale when nothing is parked.
+            assert _next_draws(ours) == _next_draws(reference)
+
+    @pytest.mark.parametrize("simulator", [
+        lambda rng: lshape_first_find(0.1, 2, (3, 3), rng, 100),
+        lambda rng: fast_uniform(2, 1, 2, (3, 3), rng, 100),
+        lambda rng: fast_doubly_uniform(2, 1, 2, (3, 3), rng, 100),
+    ], ids=["lshape", "uniform", "doubly-uniform"])
+    def test_mt19937_is_rejected(self, simulator):
+        """MT19937's 32-bit draws are native: no raw-word contract holds."""
+        with pytest.raises(InvalidParameterError, match="MT19937"):
+            simulator(np.random.Generator(np.random.MT19937(1)))
+
+    def test_sign_bit_boundary(self):
+        """Bit 31 decides the direction: 2^31 - 1 walks -1, 2^31 walks +1."""
+        halves = np.array([0, 2**31 - 1, 2**31, 2**32 - 1], dtype=np.uint32)
+        assert _points_toward(halves, 5).tolist() == [False, False, True, True]
+        assert _points_toward(halves, -5).tolist() == [True, True, False, False]
+
+    def test_hit_test_matches_kernel_sortie_hits(self, rng):
+        """The sign-half hit test equals the signed-integer closed form."""
+        count = 4000
+        targets = [(0, 3), (0, -2), (2, 0), (-3, 0), (2, 3), (-1, -4), (4, -1)]
+        for target in targets:
+            halves = rng.bit_generator.random_raw(count).view(np.uint32)
+            sv, sh = halves[:count], halves[count:]
+            lv = rng.geometric(0.25, size=count) - 1
+            lh = rng.geometric(0.25, size=count) - 1
+            expected_hit, expected_moves = sortie_hits(
+                numpy_namespace(), target, _signs(sv), lv, _signs(sh), lh
+            )
+            hit = _sortie_hits(target, sv, lv, sh, lh)
+            assert hit.tolist() == expected_hit.tolist()
+            assert hit.any(), f"no hit exercised for {target}"
+            moves = np.broadcast_to(_moves_at_hit(target, lv), lv.shape)
+            assert moves[hit].tolist() == expected_moves[hit].tolist()

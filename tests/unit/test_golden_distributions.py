@@ -5,7 +5,8 @@ The ROADMAP's distribution-regression item: instead of re-running the
 ``tests/golden/`` freezes move-count samples produced once by the
 trusted per-trial ``closed_form`` backend, and this test diffs the
 ``batched`` backend's output distribution against the recording with a
-two-sample KS test.
+two-sample KS test.  The recording itself is pinned too: ``closed_form``
+must still reproduce its leading samples exactly.
 
 Everything here is deterministic — fixed seeds on both sides — so the
 KS statistic is a constant, not a random variable: the test cannot
@@ -23,7 +24,7 @@ import pathlib
 import pytest
 
 from repro.server.wire import request_from_wire
-from repro.sim import ks_statistic, ks_two_sample_threshold, simulate
+from repro.sim import get_backend, ks_statistic, ks_two_sample_threshold, simulate
 from repro.sim.cache import CODE_VERSION
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parents[1] / "golden"
@@ -96,3 +97,30 @@ def test_batched_backend_matches_golden_distribution(path):
         f"{threshold:.4f} — the sampling distribution moved; if "
         f"intentional, bump CODE_VERSION and regenerate tests/golden/"
     )
+
+
+#: Trials per family re-simulated by the stream pin below: enough to
+#: cross hits, misses and budget prunes on every family, while the six
+#: families stay under a few seconds.
+PINNED_TRIALS = 100
+
+
+@pytest.mark.parametrize(
+    "path", GOLDEN_FILES, ids=[p.stem for p in GOLDEN_FILES]
+)
+def test_closed_form_reproduces_golden_samples(path):
+    """``closed_form`` still emits the recorded samples, bit for bit.
+
+    The KS gate above only bounds the batched *distribution*; this pins
+    the generator backend's exact per-trial stream, so an optimization
+    of the closed-form simulators that moves a single draw fails here
+    instead of silently invalidating the goldens, the cache and the
+    committed report.
+    """
+    payload = _load(path)
+    request = request_from_wire(payload["request"])
+    outcomes = get_backend("closed_form").run(
+        request, trial_indices=range(PINNED_TRIALS)
+    )
+    measured = [outcome.moves_or_budget for outcome in outcomes]
+    assert measured == payload["samples"][:PINNED_TRIALS]
